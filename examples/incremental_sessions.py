@@ -4,8 +4,8 @@ Builds a reachability program over a random graph, opens a long-lived
 :class:`repro.Connection` (which wraps an incremental evaluation session),
 and streams mutation batches through it — comparing the per-batch repair
 latency against a one-shot ``Database.query`` recompute from scratch, and
-showing the database-wide result cache absorbing repeated queries between
-updates.
+showing repeated reads between updates served from the storage's frozen
+rows, memoised per relation generation.
 
 Run with:  python examples/incremental_sessions.py
 """
@@ -49,9 +49,10 @@ def main() -> None:
 
     conn.query("path")
     conn.query("path")
-    stats = db.cache.stats
-    print(f"\nresult cache: {stats.hits} hits / {stats.misses} misses "
-          f"({stats.invalidations} invalidations) across "
+    metrics = db.metrics()
+    hits = metrics["result_cache_total{result=hit}"]
+    misses = metrics["result_cache_total{result=miss}"]
+    print(f"\nfrozen-rows memo: {hits} hits / {misses} misses across "
           f"{conn.session.updates_applied} updates")
     conn.close()
 

@@ -218,7 +218,7 @@ PY
 test -s TRACE_SAMPLE.jsonl
 
 echo
-echo "== public-API drift guard (snapshot + deprecation shims) =="
+echo "== public-API drift guard (public-surface snapshot + API tests) =="
 python -m pytest -x -q tests/api
 
 echo
@@ -227,6 +227,13 @@ for example in examples/*.py; do
   echo "-- ${example}"
   python -W error::DeprecationWarning "${example}" > /dev/null
 done
+
+echo
+echo "== repository benchmark (every read checked against a BFS reference) =="
+# Short serve and tc runs: a stale memoised read fails the run's reference
+# check, and a nonzero exit fails smoke.
+python3 perfbench/run.py --workload serve --seed 7 --seconds 5
+python3 perfbench/run.py --workload tc --seconds 3
 
 echo
 echo "== micro-benchmark sanity (fibonacci, one JIT configuration) =="

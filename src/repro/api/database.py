@@ -30,9 +30,10 @@ are bit-for-bit identical across all of them.
 
 A :class:`Database` accepts an embedded-DSL :class:`~repro.datalog.dsl.Program`,
 a bare :class:`~repro.datalog.program.DatalogProgram`, or textual Datalog
-source (parsed with :func:`repro.datalog.parser.parse_program`).  Connections
-opened from one database share its :class:`~repro.incremental.cache.ResultCache`,
-so replicas serving the same workload reuse each other's query results.
+source (parsed with :func:`repro.datalog.parser.parse_program`).  Each
+connection reads its session's storage directly: results are memoised per
+relation generation, so a repeat read of an unchanged relation returns the
+same rows without a copy; the query server memoises per snapshot version.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.api.explain import render_explain
 from repro.api.result import QueryResult, ResultSchema, ResultSet
 from repro.core.config import EngineConfig
 from repro.datalog.program import DatalogProgram
-from repro.incremental.cache import ResultCache
 from repro.incremental.session import IncrementalSession, UpdateReport
 from repro.introspect import (
     CATALOG_COLUMNS,
@@ -110,7 +110,8 @@ class Connection:
     Wraps a long-lived :class:`~repro.incremental.IncrementalSession`: the
     first read computes the fixpoint, mutations repair it incrementally
     (delta propagation / DRed, shard-parallel when the configuration says
-    so), and repeated queries are served from the result cache.  Every read
+    so), and repeat reads of an unchanged relation share its frozen rows
+    (memoised per relation generation in the session's storage).  Every read
     returns an immutable :class:`QueryResult` snapshot.
     """
 
@@ -214,7 +215,6 @@ class Connection:
         """Rows of ``relation`` as a :class:`QueryResult` snapshot.
 
         With no argument: a :class:`ResultSet` covering every IDB relation
-        (the same relations the legacy ``ExecutionEngine.run()`` returned),
         in declaration order, for any execution mode.
 
         ``sys_``-prefixed names read the system catalog instead of the
@@ -232,11 +232,7 @@ class Connection:
         resets to ground state and the next read recomputes.
         """
         self._check_open()
-        if (
-            relation is not None
-            and relation.startswith(RESERVED_PREFIX)
-            and self._catalog is not None
-        ):
+        if self._is_catalog(relation):
             return self._catalog_snapshot(relation)
         session = self._session
         started = time.perf_counter()
@@ -272,9 +268,9 @@ class Connection:
     def _snapshot(self, relation: str, trace=None, limits=None,
                   token=None) -> QueryResult:
         schema = self.schema(relation)  # raises KeyError on unknown relations
-        # Rows stay dictionary-encoded (shared with the session's result
-        # cache — one copy of each constant in the symbol table); the
-        # QueryResult decodes lazily, per accessed page.
+        # Rows stay dictionary-encoded (the storage's frozen rows — one copy
+        # of each constant in the symbol table); the QueryResult decodes
+        # lazily, per accessed page.
         rows = self._session.fetch_encoded(relation, limits, token)
         count = len(rows)
 
@@ -284,6 +280,13 @@ class Connection:
         return QueryResult(
             schema, rows, explain=explain,
             symbols=self._session.storage.symbols, trace=trace,
+        )
+
+    def _is_catalog(self, relation: Optional[str]) -> bool:
+        return (
+            relation is not None
+            and relation.startswith(RESERVED_PREFIX)
+            and self._catalog is not None
         )
 
     def _catalog_snapshot(self, relation: str) -> QueryResult:
@@ -351,7 +354,9 @@ class Connection:
         """
         self._check_open()
         row_count = None
-        if relation is not None:
+        if self._is_catalog(relation):
+            row_count = len(frozenset(self._catalog.rows(relation)))
+        elif relation is not None:
             row_count = len(self._session.fetch_encoded(relation))
         return self._render_explain(
             relation=relation, row_count=row_count, analyze=analyze
@@ -430,7 +435,6 @@ class Database:
 
     def __init__(self, program: ProgramLike,
                  config: Optional[EngineConfig] = None,
-                 cache: Optional[ResultCache] = None,
                  name: str = "database",
                  durability=None) -> None:
         self.program = coerce_program(program, name=name)
@@ -441,9 +445,6 @@ class Database:
         #: logs every mutation batch, and checkpoints per the thresholds.
         self.durability = durability
         self._durability_owner: Optional["Connection"] = None
-        #: Shared across every connection; keyed by program fingerprint,
-        #: configuration and mutation history, so sharing is always safe.
-        self.cache = cache if cache is not None else ResultCache()
         # One registry per database: connections and one-shot queries all
         # aggregate into it, so ``metrics()`` sees the whole workload.
         from repro.telemetry.config import metrics_of
@@ -478,8 +479,7 @@ class Database:
         effective = config or self.config
         catalog = self._catalog_for(effective)
         session = IncrementalSession(
-            self.program, effective, cache=self.cache,
-            metrics=self._metrics, catalog=catalog,
+            self.program, effective, metrics=self._metrics, catalog=catalog,
         )
         catalog.bind_storage(lambda: session.storage)
         catalog.bind_shards(_shard_rows_provider(session))

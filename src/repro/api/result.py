@@ -24,7 +24,7 @@ plain ``set`` objects (a derived result has no single source relation).
 
 :class:`ResultSet` is the multi-relation analogue — an immutable mapping of
 relation name to :class:`QueryResult` — and compares equal to the plain
-``Dict[str, Set[Row]]`` the legacy ``ExecutionEngine.run()`` returned.
+``Dict[str, Set[Row]]`` of the same rows.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class QueryResult(SetABC):
         if callable(rows):
             self._thunk = rows
         elif isinstance(rows, frozenset):
-            # Already-frozen row sets (e.g. the session result cache's) are
+            # Already-frozen row sets (e.g. the storage's frozen rows) are
             # adopted as-is: no per-query copy of a potentially huge result.
             self._frozen = rows
         else:
@@ -369,8 +369,8 @@ class QueryResult(SetABC):
 class ResultSet(MappingABC):
     """An immutable mapping of relation name -> :class:`QueryResult`.
 
-    Compares equal to the plain ``{relation: set(rows)}`` dictionaries the
-    legacy API returned, preserves the producing engine's relation order,
+    Compares equal to the plain ``{relation: set(rows)}`` dictionary of the
+    same rows, preserves the producing engine's relation order,
     and carries one whole-program :meth:`explain`.
     """
 
@@ -405,7 +405,7 @@ class ResultSet(MappingABC):
         return sum(result.count() for result in self._results.values())
 
     def to_sets(self) -> Dict[str, set]:
-        """The legacy shape: a fresh ``{relation: set(rows)}`` dictionary."""
+        """A fresh plain ``{relation: set(rows)}`` dictionary."""
         return {name: result.to_set() for name, result in self._results.items()}
 
     def explain(self) -> str:

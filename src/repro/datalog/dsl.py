@@ -26,7 +26,6 @@ provide the built-ins used by the microbenchmark programs.
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -35,9 +34,7 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
-    overload,
 )
 
 if TYPE_CHECKING:  # execution layers sit above the DSL; import only for types
@@ -45,7 +42,6 @@ if TYPE_CHECKING:  # execution layers sit above the DSL; import only for types
     from repro.core.config import EngineConfig
     from repro.engine.engine import ExecutionEngine
     from repro.incremental.session import IncrementalSession
-    from repro.relational.relation import Row
 
 from repro.datalog.literals import (
     Assignment,
@@ -210,38 +206,6 @@ class Program:
         from repro.api.database import Database
 
         return Database(self.datalog, config)
-
-    @overload
-    def solve(self, relation: str,
-              config: Optional["EngineConfig"] = None) -> "Set[Row]": ...
-
-    @overload
-    def solve(self, relation: None = None,
-              config: Optional["EngineConfig"] = None) -> "Dict[str, Set[Row]]": ...
-
-    def solve(self, relation: Optional[str] = None,
-              config: Optional["EngineConfig"] = None):
-        """Deprecated: use ``program.database(config).query(relation)``.
-
-        Evaluates the program to fixpoint through the :class:`repro.Database`
-        API and returns the legacy shapes: the set of tuples of ``relation``
-        when given (empty set when the relation is unknown *or extensional*,
-        exactly as before — the legacy dict covered IDB relations only),
-        otherwise a dict of every IDB relation to its tuples — the same
-        relations in every execution mode.
-        """
-        warnings.warn(
-            "Program.solve() is deprecated; use program.database(config)"
-            ".query(relation), which returns QueryResult objects",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        database = self.database(config)
-        if relation is None:
-            return database.query().to_sets()
-        if relation not in self.datalog.idb_relations():
-            return set()
-        return database.query(relation).to_set()
 
     def engine(self, config: Optional["EngineConfig"] = None) -> "ExecutionEngine":
         """Build (but do not run) an execution engine for this program."""

@@ -1,17 +1,17 @@
 """Stable structural fingerprints of Datalog programs.
 
-The incremental subsystem caches query results across many fixpoint runs of
-one long-lived session, and those caches must never survive a change to the
-*logic* of the program (its declarations and rules).  ``repr`` of the AST is
-unsuitable as a cache key: it is a debug aid with no stability contract, and
-Python's per-process hash randomisation rules out ``hash``.  This module
+Durability checkpoints and traces name the program they belong to, and a
+checkpoint must never be installed under a change to the *logic* of the
+program (its declarations and rules).  ``repr`` of the AST is unsuitable as
+that name: it is a debug aid with no stability contract, and Python's
+per-process hash randomisation rules out ``hash``.  This module
 canonicalises the AST into a deterministic byte string and hashes it with
 SHA-256, so the fingerprint is stable across processes and Python versions.
 
-Facts are *not* part of the default fingerprint — the whole point of an
-incremental session is that the fact base changes while the program stands
-still; fact-dependent invalidation is handled by the storage layer's
-per-relation generation counters (:meth:`repro.relational.storage.StorageManager.generation`).
+Facts are *not* part of the fingerprint — the whole point of an incremental
+session is that the fact base changes while the program stands still;
+fact-dependent validity is the storage layer's per-relation generation
+counters (:meth:`repro.relational.storage.StorageManager.generation`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Any, Iterable, List
 
 from repro.datalog.literals import Assignment, Atom, Comparison, Literal
 from repro.datalog.program import DatalogProgram
-from repro.datalog.rules import Fact, Rule
+from repro.datalog.rules import Rule
 from repro.datalog.terms import (
     Aggregate,
     BinaryExpression,
@@ -84,12 +84,7 @@ def canonical_rule(rule: Rule) -> str:
     return f"{_canonical_literal(rule.head)}:-{body}"
 
 
-def canonical_fact(fact: Fact) -> str:
-    values = ",".join(_canonical_value(v) for v in fact.values)
-    return f"{fact.relation}({values})"
-
-
-def canonical_program(program: DatalogProgram, include_facts: bool = False) -> str:
+def canonical_program(program: DatalogProgram) -> str:
     """The canonical text the fingerprint hashes.
 
     Rule order is preserved (it is semantically irrelevant but performance
@@ -102,15 +97,12 @@ def canonical_program(program: DatalogProgram, include_facts: bool = False) -> s
         lines.append(f"rel:{name}/{decl.arity}")
     for rule in program.rules:
         lines.append("rule:" + canonical_rule(rule))
-    if include_facts:
-        for fact in sorted(canonical_fact(f) for f in program.facts):
-            lines.append("fact:" + fact)
     return "\n".join(lines)
 
 
-def fingerprint_program(program: DatalogProgram, include_facts: bool = False) -> str:
+def fingerprint_program(program: DatalogProgram) -> str:
     """SHA-256 hex digest of the program's canonical form."""
-    text = canonical_program(program, include_facts=include_facts)
+    text = canonical_program(program)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

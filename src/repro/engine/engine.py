@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import time
-import warnings
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # repro.api sits above this layer; import only for types
     from repro.api.result import QueryResult, ResultSet
@@ -139,7 +138,7 @@ class ExecutionEngine:
         )
         self.setup_seconds = time.perf_counter() - setup_start
         self._ran = False
-        #: Set by :meth:`run` when the shard-parallel evaluator was used.
+        #: Set by :meth:`evaluate` when the shard-parallel evaluator was used.
         self.parallel_report = None
         # Telemetry: the registry of the configured TelemetryConfig, else a
         # private one; the API layer folds the profile in after evaluation.
@@ -205,28 +204,6 @@ class ExecutionEngine:
             schema, lambda: self.storage.tuples(name), explain=explain,
             symbols=self.storage.symbols, trace=self._trace_source,
         )
-
-    def run(self) -> Dict[str, Set[Row]]:
-        """Deprecated: use :meth:`evaluate` (or :class:`repro.Database`).
-
-        Evaluates to fixpoint and returns the legacy ``{relation: set(rows)}``
-        dictionary over every IDB relation.
-        """
-        warnings.warn(
-            "ExecutionEngine.run() is deprecated; use ExecutionEngine.evaluate() "
-            "or the repro.Database API, which return QueryResult objects",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._ran:
-            raise RuntimeError(
-                "this engine has already run; build a new ExecutionEngine to re-evaluate"
-            )
-        self._execute_once()
-        return {
-            relation: self.storage.decoded_tuples(relation)
-            for relation in self.program.idb_relations()
-        }
 
     def relation(self, name: str) -> Set[Row]:
         """Tuples of one relation (IDB or EDB) after evaluation, decoded."""

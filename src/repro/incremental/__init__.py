@@ -15,9 +15,11 @@ that service shape:
 * Retractions use **delete-and-rederive** (DRed): over-delete the entire
   derivation cone of the retracted rows, then re-derive every over-deleted
   fact that still has a derivation from the surviving database.
-* :class:`ResultCache` — memoizes per-relation query results, keyed by a
-  stable program/config fingerprint and invalidated per relation through the
-  storage layer's generation counters.
+* Reads serve the storage's frozen rows, memoised per relation generation
+  (:meth:`~repro.relational.storage.StorageManager.frozen_rows`): a repeat
+  read of an unchanged relation returns the same frozenset, and any
+  mutation of the relation bumps its generation.  The query server reads
+  published MVCC snapshots instead (:mod:`repro.incremental.snapshots`).
 
 Programs with negation or aggregation fall back to transparent full
 recomputation inside the same session API (incremental maintenance under
@@ -26,15 +28,12 @@ program — including all of the paper's macro benchmarks — takes the true
 incremental path in every :class:`~repro.core.config.ExecutionMode`.
 """
 
-from repro.incremental.cache import CacheStats, ResultCache
 from repro.incremental.dred import DeletionCone, over_delete, rederivation_seeds
 from repro.incremental.session import IncrementalSession, UpdateReport
 
 __all__ = [
-    "CacheStats",
     "DeletionCone",
     "IncrementalSession",
-    "ResultCache",
     "UpdateReport",
     "over_delete",
     "rederivation_seeds",

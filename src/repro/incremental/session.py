@@ -3,10 +3,11 @@
 :class:`IncrementalSession` converts the engine from single-shot to
 service-shaped: one session owns its storage across arbitrarily many
 fixpoints, accepts batched fact mutations, repairs the fixpoint
-incrementally, and memoizes query results until a mutation actually touches
-a dependency.  The IR tree, the schema-selected indexes and (in AOT mode)
-the ahead-of-time join-order decisions are all built once at session start
-and reused by every update.
+incrementally, and serves reads from the storage's frozen rows, memoised
+per relation generation until a mutation actually changes the relation.
+The IR tree, the schema-selected indexes and (in AOT mode) the
+ahead-of-time join-order decisions are all built once at session start and
+reused by every update.
 
 Update strategies
 -----------------
@@ -30,10 +31,8 @@ their frozen plans.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
@@ -52,7 +51,6 @@ from repro.engine.engine import (
     prepare_evaluation,
 )
 from repro.engine.indexing import select_retraction_indexes
-from repro.incremental.cache import ResultCache
 from repro.incremental.dred import (
     over_delete,
     rederivation_seeds,
@@ -96,47 +94,6 @@ class UpdateReport:
     seconds: float = 0.0
 
 
-def _config_cache_key(config: EngineConfig) -> str:
-    """A deterministic cache-key component covering every semantics-relevant knob."""
-    return "|".join(
-        str(part)
-        for part in (
-            config.mode.value,
-            config.backend,
-            config.granularity.value,
-            config.async_compilation,
-            config.compile_mode,
-            config.use_indexes,
-            config.evaluator_style,
-            config.executor,
-            config.optimize_seed,
-            config.aot_sort.value,
-            config.aot_online,
-            config.interning,
-        )
-    )
-
-
-def _dependency_closure(program: DatalogProgram) -> Dict[str, FrozenSet[str]]:
-    """Map each relation to every relation its contents can depend on."""
-    direct: Dict[str, Set[str]] = {name: {name} for name in program.relation_names()}
-    for rule in program.rules:
-        direct.setdefault(rule.head_relation, {rule.head_relation}).update(
-            atom.relation for atom in rule.body_atoms()
-        )
-    changed = True
-    while changed:
-        changed = False
-        for name, deps in direct.items():
-            expanded: Set[str] = set(deps)
-            for dep in deps:
-                expanded |= direct.get(dep, set())
-            if expanded != deps:
-                direct[name] = expanded
-                changed = True
-    return {name: frozenset(deps) for name, deps in direct.items()}
-
-
 class IncrementalSession:
     """A long-lived evaluation of one program over a changing fact base.
 
@@ -147,14 +104,6 @@ class IncrementalSession:
         the caller's object cannot desynchronise the session's IR.
     config:
         Any :class:`EngineConfig`; defaults to the interpreted configuration.
-    cache:
-        Optional shared :class:`ResultCache`.  Entries are keyed by program
-        fingerprint (including initial facts) and configuration, and guarded
-        by per-relation validity tokens (generation counter + mutation
-        digest over the queried relation's dependency cone), so sharing is
-        always safe: sessions share an entry exactly when that cone's
-        mutation history is identical.  By default each session gets a
-        private cache.
     metrics:
         Optional shared :class:`~repro.telemetry.MetricsRegistry`; a
         :class:`~repro.api.database.Database` passes its own so totals
@@ -175,7 +124,6 @@ class IncrementalSession:
         self,
         program: DatalogProgram,
         config: Optional[EngineConfig] = None,
-        cache: Optional[ResultCache] = None,
         metrics=None,
         catalog=None,
     ) -> None:
@@ -233,43 +181,14 @@ class IncrementalSession:
             )
         self.setup_seconds = time.perf_counter() - setup_start
 
-        self.cache = cache if cache is not None else ResultCache()
         self.program_fingerprint = fingerprint_program(self.program)
-        # Cache keys embed the *initial* facts too: two sessions whose
-        # programs differ only in their EDB could otherwise collide on key
-        # and generation vector alike.  The ResultCache is in-process, so
-        # an order-independent builtin hash of the fact set is enough (and
-        # ~10x cheaper than canonicalising a 10k-fact EDB to text); the
-        # canonical-text digest remains the fallback for unhashable facts.
-        try:
-            edb_token: object = hash(frozenset(self.program.facts))
-        except TypeError:
-            edb_token = fingerprint_program(self.program, include_facts=True)
-        self._cache_fingerprint = (self.program_fingerprint, edb_token)
-        # Per-relation rolling digests of the mutations applied to each
-        # relation.  Generation counters alone cannot distinguish *diverged*
-        # sessions sharing a cache (different mutations advance them
-        # identically), so cache validity tokens pair the counter with the
-        # relation's mutation digest: sessions share an entry exactly when
-        # the queried relation's whole dependency cone has identical history.
-        self._mutation_digests: Dict[str, str] = {
-            name: "0" for name in self.program.relation_names()
-        }
-        # Catalog relations: the digest of the snapshot materialized at
-        # setup, advanced by _refresh_catalog whenever the snapshot changes
-        # — so cache validity tokens diverge exactly when catalog state does.
-        if self._catalog is not None:
-            self._mutation_digests.update(
-                self._catalog.digests(self._catalog_names)
-            )
-        self._config_key = _config_cache_key(self.config)
-        self._dependencies = _dependency_closure(self.program)
         self._evaluated = False
         # Decoded-result memo for :meth:`fetch`: relation -> (encoded
         # frozenset, decoded frozenset).  Validity is by *identity* of the
-        # encoded set — the ResultCache returns the same object while the
-        # entry is valid, so a storage mutation (new encoded set) misses
-        # here automatically and repeat fetches skip the O(n) decode.
+        # encoded set — ``storage.frozen_rows`` returns the same object
+        # while the relation's generation stands still, so a storage
+        # mutation (new encoded set) misses here automatically and repeat
+        # fetches skip the O(n) decode.
         self._decoded_results: Dict[str, Tuple[FrozenSet[Row], FrozenSet[Row]]] = {}
         self.updates_applied = 0
         self.last_report: Optional[UpdateReport] = None
@@ -519,32 +438,6 @@ class IncrementalSession:
         self.metrics.histogram("mutation_seconds").observe(report.seconds)
         return report
 
-    def _advance_mutation_digests(
-        self,
-        inserts: Dict[str, Set[Row]],
-        retracts: Dict[str, Set[Row]],
-    ) -> None:
-        """Fold one batch's *effective* changes into the touched digests.
-
-        Callers pass only rows that actually changed state (genuinely new
-        inserts, base rows actually retracted): a no-op batch must not
-        advance any digest, or it would invalidate still-valid cache entries
-        and permanently fork a replica off a shared cache.
-        """
-        touched: Dict[str, "hashlib._Hash"] = {}
-        for tag, batch in (("+", inserts), ("-", retracts)):
-            for name in batch:
-                digest = touched.get(name)
-                if digest is None:
-                    digest = hashlib.sha256(
-                        self._mutation_digests[name].encode("utf-8")
-                    )
-                    touched[name] = digest
-                rows = ";".join(sorted(repr(row) for row in batch[name]))
-                digest.update(f"{tag}{rows}\n".encode("utf-8"))
-        for name, digest in touched.items():
-            self._mutation_digests[name] = digest.hexdigest()
-
     def _normalise(
         self, batch: Optional[Mapping[str, RowBatch]], allocate: bool = True
     ) -> Dict[str, Set[Row]]:
@@ -626,13 +519,7 @@ class IncrementalSession:
             seeded += report.rederived
 
         # -- insertions --------------------------------------------------------
-        effective_inserts: Dict[str, Set[Row]] = {}
         for name, rows in inserts.items():
-            new_rows = {
-                row for row in rows if row not in self.storage.derived(name)
-            }
-            if new_rows:
-                effective_inserts[name] = new_rows
             report.inserted += self.storage.seed_delta(name, rows)
             for row in rows:
                 self.storage.insert_base(name, row)
@@ -653,7 +540,6 @@ class IncrementalSession:
             else:
                 profile = self._execute(self._update_tree, NOOP_GOVERNOR)
                 report.propagated = sum(it.promoted for it in profile.iterations)
-        self._advance_mutation_digests(effective_inserts, eligible)
         return report
 
     # -- shard-parallel propagation ----------------------------------------------
@@ -830,13 +716,10 @@ class IncrementalSession:
     ) -> UpdateReport:
         """Fallback for programs with negation/aggregation: recompute from base."""
         report = UpdateReport(strategy="recompute")
-        effective_retracts: Dict[str, Set[Row]] = {}
-        effective_inserts: Dict[str, Set[Row]] = {}
         for name, rows in retracts.items():
             for row in rows:
                 if self.storage.forget_base_row(name, row):
                     report.retracted += 1
-                    effective_retracts.setdefault(name, set()).add(row)
         for name, rows in inserts.items():
             for row in rows:
                 # Count rows new to Derived — the same meaning `inserted`
@@ -845,14 +728,12 @@ class IncrementalSession:
                 # base rows.
                 if row not in self.storage.derived(name):
                     report.inserted += 1
-                    effective_inserts.setdefault(name, set()).add(row)
                 self.storage.insert_base(name, row)
         # A no-op batch (nothing retracted, every insert already derived)
-        # keeps the fixpoint: skip the full recompute and its cache-wide
+        # keeps the fixpoint: skip the full recompute and its store-wide
         # generation churn.
-        if effective_retracts or effective_inserts:
+        if report.retracted or report.inserted:
             self._rebuild_from_base()
-        self._advance_mutation_digests(effective_inserts, effective_retracts)
         return report
 
     def _reset_to_base(self) -> None:
@@ -889,53 +770,40 @@ class IncrementalSession:
         """Re-snapshot the program's ``sys_`` relations before serving a query.
 
         When a catalog relation's contents changed since the last snapshot,
-        the fresh rows replace the stale base facts, the relation's mutation
-        digest advances (cache entries over the old snapshot stop matching),
-        and — because catalog readers are recompute-strategy sessions — the
-        fixpoint is rebuilt from base so rules over ``sys_`` see the new rows.
+        the fresh rows replace the stale base facts (bumping the relation's
+        generation) and — because catalog readers are recompute-strategy
+        sessions — the fixpoint is rebuilt from base so rules over ``sys_``
+        see the new rows.
         """
         if self._catalog is None or not self._catalog_names:
             return
         if self._catalog_frozen:
             return
         changed = self._catalog.refresh(self.storage, self._catalog_names)
-        if not changed:
-            return
-        self._mutation_digests.update(changed)
-        if self._evaluated:
+        if changed and self._evaluated:
             self._rebuild_from_base()
 
     def fetch_encoded(self, relation: str, limits=None,
                       token=None) -> FrozenSet[Row]:
-        """Storage-domain tuples of ``relation``, served from cache when valid.
+        """Storage-domain tuples of ``relation`` at the current fixpoint.
 
-        The cache holds *encoded* rows — under dictionary encoding a cached
-        result is a frozenset of int tuples, one copy of each string living
-        in the symbol table — and :class:`~repro.api.result.QueryResult`
-        decodes lazily at its boundary.  Symbol ids are deterministic per
-        (program, configuration, mutation history), which is exactly the
-        cache key + validity-token granularity, so shared entries decode
-        identically in every session allowed to hit them.
+        The rows are the storage's frozen view of the relation
+        (:meth:`~repro.relational.storage.StorageManager.frozen_rows`),
+        memoised per relation generation: every storage mutation bumps the
+        generation, so repeat reads of an unchanged relation return the same
+        frozenset object.  Under dictionary encoding the set holds int
+        tuples — one copy of each string lives in the symbol table — and
+        :class:`~repro.api.result.QueryResult` decodes lazily at its boundary.
         """
         governor = self.config.governor(limits, token)
         self._refresh_catalog()
         self._ensure_evaluated(governor)
-        dependencies = self._dependencies.get(relation, frozenset((relation,)))
-        tokens = {
-            name: f"{generation}:{self._mutation_digests[name]}"
-            for name, generation in self.storage.generations(dependencies).items()
-        }
-        key = (self._cache_fingerprint, self._config_key, relation)
-        cached = self.cache.lookup(key, tokens)
-        self._record_cache_probe(relation, hit=cached is not None)
-        if cached is not None:
-            rows = cached
-        else:
-            rows = frozenset(self.storage.tuples(relation))
-            self.cache.store(key, tokens, rows)
+        hit = self.storage.frozen_is_current(relation)
+        rows = self.storage.frozen_rows(relation)
+        self._record_cache_probe(relation, hit)
         if governor.active and rows:
             # Conservative machine-word estimate (8 bytes per column);
-            # the result stays cached — the limit bounds this query's
+            # the frozen rows stay memoised — the limit bounds this query's
             # response, not the fixpoint.
             arity = len(next(iter(rows)))
             try:
@@ -946,7 +814,7 @@ class IncrementalSession:
         return rows
 
     def _record_cache_probe(self, relation: str, hit: bool) -> None:
-        """Count one ResultCache probe and annotate the ambient span."""
+        """Count one frozen-rows memo probe and annotate the ambient span."""
         result = "hit" if hit else "miss"
         self.metrics.counter("result_cache_total", result=result).inc()
         if self.tracer.enabled:
@@ -960,7 +828,7 @@ class IncrementalSession:
     def fetch(self, relation: str, limits=None, token=None) -> FrozenSet[Row]:
         """The current (raw-domain) tuples of ``relation``.
 
-        Decoding is memoised per cached encoded set, so repeat fetches of
+        Decoding is memoised per frozen encoded set, so repeat fetches of
         an unchanged relation return the same frozenset object instead of
         re-resolving every row through the symbol table.
 
@@ -982,20 +850,8 @@ class IncrementalSession:
         self._decoded_results[relation] = (rows, decoded)
         return decoded
 
-    def query(self, relation: str) -> FrozenSet[Row]:
-        """Deprecated: use :meth:`fetch` (or ``Connection.query`` for
-        :class:`~repro.api.result.QueryResult` objects)."""
-        warnings.warn(
-            "IncrementalSession.query() is deprecated; use "
-            "IncrementalSession.fetch() or a repro.Database connection, whose "
-            "query() returns QueryResult objects",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fetch(relation)
-
     def results(self) -> Dict[str, FrozenSet[Row]]:
-        """Every IDB relation's tuples (cached individually)."""
+        """Every IDB relation's tuples (memoised individually)."""
         return {name: self.fetch(name) for name in self.program.idb_relations()}
 
     def resilience_stats(self):

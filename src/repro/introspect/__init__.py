@@ -13,7 +13,8 @@ Two pieces:
   the seven ``sys_`` relations, on-demand materialization into a session's
   storage (interned through the normal symbol-table path, so catalog rows
   compose with joins, negation, aggregation and the vectorized executor),
-  and content digests that keep the result cache honest.
+  and content digests that skip rewrites (and generation bumps) while the
+  observed state is unchanged.
 * :mod:`repro.introspect.analyze` — EXPLAIN ANALYZE: merges the actual
   per-operator span timings and row counts of the most recent trace into
   the join-order predictions recorded by the optimizer, flagging operators

@@ -9,12 +9,12 @@ body.  Materialized rows go through ``storage.symbols`` like any other
 fact, so catalog relations join, negate and aggregate against user
 relations in every execution mode.
 
-Freshness and cache safety: each materialization records a content digest
-per ``sys_`` relation.  The incremental session folds that digest into its
-per-relation mutation digests, so result-cache validity tokens (and with
-them, effective result fingerprints) differ whenever the observed catalog
-state differs — two sessions sharing a cache can never serve each other
-catalog-dependent results computed against different engine states.
+Freshness: each materialization records a content digest per ``sys_``
+relation, and a refresh rewrites only the relations whose digest moved.  A
+rewrite bumps the relation's storage generation — the validity token of
+the session's per-generation frozen rows — so a read serves a new result
+exactly when the observed catalog state differs, and an unchanged ring
+keeps generations (and memoised results) stable.
 
 Rows are *snapshots*: a catalog relation reflects the engine state at the
 moment it was (re-)materialized, which for queries through the engine is
@@ -211,7 +211,7 @@ class SystemCatalog:
         for name in storage.relation_names():
             # Catalog relations are excluded from their own listing: their
             # cardinality/generation churns on every materialization, which
-            # would make the digest (and with it the result cache) unstable.
+            # would make the digest (and with it every generation) unstable.
             if name.startswith(RESERVED_PREFIX):
                 continue
             rows.append((
@@ -272,26 +272,23 @@ class SystemCatalog:
                     f"{columns}, but the program uses arity {declared}"
                 )
 
-    def install(self, storage, program) -> Dict[str, str]:
+    def install(self, storage, program) -> None:
         """Materialize every referenced catalog relation into ``storage``.
 
-        Called by ``prepare_evaluation`` at session/engine setup.  Returns
-        the ``{relation: content digest}`` map of the materialized state.
+        Called by ``prepare_evaluation`` at session/engine setup.
         """
         self.validate_program(program)
-        names = self.names_in(program)
-        self.refresh(storage, names)
-        return {name: self._digests[name] for name in names}
+        self.refresh(storage, self.names_in(program))
 
-    def refresh(self, storage, names: Sequence[str]) -> Dict[str, str]:
-        """Re-materialize ``names`` into ``storage``; returns what changed.
+    def refresh(self, storage, names: Sequence[str]) -> bool:
+        """Re-materialize ``names`` into ``storage``; whether any changed.
 
         Rows are interned through ``storage.symbols`` and inserted as base
         facts — the same path user facts take — so a recompute from base
         rows preserves them.  Unchanged relations (by content digest) are
-        left untouched, keeping generations and cache tokens stable.
+        left untouched, keeping their generations stable.
         """
-        changed: Dict[str, str] = {}
+        changed = False
         for name in names:
             raw = self.rows(name, storage=storage)
             digest = _digest_rows(raw)
@@ -306,14 +303,8 @@ class SystemCatalog:
             for row in encoded:
                 storage.insert_base(name, row)
             self._digests[name] = digest
-            changed[name] = digest
+            changed = True
         return changed
-
-    def digests(self, names: Sequence[str]) -> Dict[str, str]:
-        """The content digests of the last materialization of ``names``."""
-        return {
-            name: self._digests.get(name, "0") for name in names
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bound = "bound" if self._storage_provider is not None else "unbound"

@@ -910,9 +910,11 @@ class ParallelEvaluator:
     def _execute_serial(self, stratum: StratumOp) -> None:
         # trace_strata=False: the coordinator already opened this stratum's
         # span, so the nested executor's iterations attach to it directly.
+        # It shares this run's governor: a query's limits bound the seeding
+        # too, and a mutation's no-op governor never picks up the config's.
         executor = IRExecutor(
             self.storage, self.config, self.profile,
-            tracer=self.tracer, trace_strata=False,
+            tracer=self.tracer, trace_strata=False, governor=self.governor,
         )
         executor.execute(ProgramOp([stratum], name=self.tree.name))
 

@@ -56,9 +56,10 @@ class StorageManager:
         self._delta_new: Dict[str, Relation] = {}
         self._indexed_columns: Dict[str, Set[int]] = {}
         # Incremental-evaluation bookkeeping: per-relation generation counters
-        # (bumped on every observable change to the Derived database, used by
-        # the result cache) and the explicitly asserted "base" rows of each
-        # relation (the support set delete-and-rederive may retract from).
+        # (bumped on every observable change to the Derived database; the
+        # validity token of frozen_rows) and the explicitly asserted "base"
+        # rows of each relation (the support set delete-and-rederive may
+        # retract from).
         self._generations: Dict[str, int] = {}
         self._base_rows: Dict[str, Set[Row]] = {}
         # Coarse change counter over the copies cardinality snapshots read
@@ -66,7 +67,7 @@ class StorageManager:
         # instead of re-copying every cardinality dict each round.
         self._mutation_version = 0
         # Counter bumps happen on writer threads while concurrent readers
-        # probe generations for cache-validity tokens and snapshot pinning;
+        # probe generations for frozen-row validity and snapshot pinning;
         # `x += 1` on an attribute is not atomic in CPython (LOAD/ADD/STORE
         # can interleave), so every bump and every multi-relation read goes
         # through this lock.  Bumps are per *batch* (or per iteration), not
@@ -230,8 +231,8 @@ class StorageManager:
                        kind: DatabaseKind = DatabaseKind.DERIVED) -> Set[Row]:
         """The rows of ``name`` translated back into the raw value domain.
 
-        The legacy-shape result boundary (``ExecutionEngine.run()``, session
-        ``fetch``): one decode pass, no effect under the identity codec.
+        The plain-set result boundary (``ExecutionEngine.relation``): one
+        decode pass, no effect under the identity codec.
         """
         rows = self.relation(name, kind).rows()
         if self.symbols.identity:
@@ -281,10 +282,8 @@ class StorageManager:
                 f"cannot adopt {relation!r} as {name!r}: arity mismatch"
             )
         self._derived[name] = relation
-        # The adopted relation's contents may differ from the replaced copy
-        # without a generation bump; drop any frozen view of the old copy.
-        self._frozen_cache.pop(name, None)
-        self._bump_version()
+        # The adopted relation's contents may differ from the replaced copy.
+        self._bump_generation(name)
 
     def base_rows(self, name: str) -> Set[Row]:
         """The explicitly asserted rows of ``name`` (a copy)."""
@@ -323,7 +322,7 @@ class StorageManager:
         self._bump_version()
         return removed
 
-    # -- generation counters (result-cache invalidation) -------------------------
+    # -- generation counters (frozen-row and snapshot validity) -------------------
 
     def generation(self, name: str) -> int:
         """Monotonic counter, bumped whenever Derived ``name`` changes."""
@@ -347,8 +346,9 @@ class StorageManager:
     def frozen_rows(self, name: str) -> FrozenSet[Row]:
         """The Derived rows of ``name`` as a frozenset, memoised per generation.
 
-        The copy-on-write primitive behind MVCC snapshots
-        (:mod:`repro.incremental.snapshots`): while the relation's
+        The one result memo above the Derived database: the copy-on-write
+        primitive behind MVCC snapshots (:mod:`repro.incremental.snapshots`)
+        and the rows of every embedded session read.  While the relation's
         generation counter stands still the same frozenset object is
         returned, so consecutive snapshot publishes share row sets for
         every relation the intervening batches did not touch.  Must be
@@ -362,6 +362,11 @@ class StorageManager:
         rows = frozenset(self._derived[name].rows())
         self._frozen_cache[name] = (generation, rows)
         return rows
+
+    def frozen_is_current(self, name: str) -> bool:
+        """Whether :meth:`frozen_rows` would serve ``name`` from its memo."""
+        cached = self._frozen_cache.get(name)
+        return cached is not None and cached[0] == self.generation(name)
 
     def insert_new_batch(self, name: str, rows: "Set[Row] | frozenset") -> int:
         """Trusted :meth:`insert_new_many`: skip re-tupling and arity scans.
@@ -394,7 +399,7 @@ class StorageManager:
         The bulk path of the shard-parallel subsystem: scattering partitions
         to shards and merging shard results back both move tens of thousands
         of rows at once, and bumping the generation counter per batch (not
-        per row) keeps result-cache tokens meaningful.  Returns the number
+        per row) keeps the frozen-row memo meaningful.  Returns the number
         of rows that were new.
         """
         self._require(name)
@@ -488,7 +493,7 @@ class StorageManager:
         arrive already in this manager's value domain (the recovery path
         aligns the symbol table first), deltas are cleared — a checkpoint
         is always taken at a fixpoint — and the generation bump invalidates
-        any cached results over the replaced contents.
+        any frozen rows over the replaced contents.
         """
         self._require(name)
         self._delta_known[name].clear()

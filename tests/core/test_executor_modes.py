@@ -123,14 +123,11 @@ class TestProfileBookkeeping:
             for record in engine.profile.iterations
         )
 
-    def test_evaluate_is_idempotent_but_legacy_run_cannot_rerun(self):
+    def test_evaluate_is_idempotent(self):
         engine = ExecutionEngine(parse_program(TC_SOURCE), EngineConfig.interpreted())
         first = engine.evaluate()
         second = engine.evaluate()  # no re-execution: fresh view of same state
         assert first == second
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError):
-                engine.run()
 
     def test_max_iterations_bounds_execution(self):
         config = EngineConfig.interpreted().with_(max_iterations=1)

@@ -7,17 +7,25 @@ from repro.core.config import EngineConfig
 from repro.datalog.fingerprint import fingerprint_program
 from repro.engine.engine import ExecutionEngine
 from repro.engine.indexing import rebuild_indexes, verify_indexes
-from repro.incremental import IncrementalSession, ResultCache
+from repro.incremental import IncrementalSession
 from repro.incremental.dred import over_delete
 from repro.relational.operators import SubqueryEvaluator
 
 EDGES = [(1, 2), (2, 3), (3, 4), (5, 6)]
 
 
-def tc_session(edges=EDGES, config=None, cache=None):
+def tc_session(edges=EDGES, config=None):
     return IncrementalSession(
         build_transitive_closure_program(edges), config or EngineConfig.interpreted(),
-        cache=cache,
+    )
+
+
+def cache_probes(session):
+    """``(hits, misses)`` of the session's ``result_cache_total`` counter."""
+    snapshot = session.metrics.snapshot()
+    return (
+        snapshot.get("result_cache_total{result=hit}", 0),
+        snapshot.get("result_cache_total{result=miss}", 0),
     )
 
 
@@ -137,94 +145,48 @@ class TestRetraction:
 
 
 class TestResultCache:
+    """Reads are memoised per relation generation in the session's storage."""
+
     def test_repeated_queries_hit_the_cache(self):
         session = tc_session()
-        session.fetch("path")
-        session.fetch("path")
-        assert session.cache.stats.hits == 1
+        first = session.fetch_encoded("path")
+        assert session.fetch_encoded("path") is first
+        assert cache_probes(session) == (1, 1)
 
     def test_mutation_invalidates_dependent_relations(self):
         session = tc_session()
-        session.fetch("path")
-        session.insert_facts("edge", [(6, 7)])
-        session.fetch("path")  # stale: edge generation moved
-        assert session.cache.stats.invalidations >= 1
-        session.fetch("path")
-        assert session.cache.stats.hits >= 1
+        before = session.fetch_encoded("path")
+        session.insert_facts("edge", [(6, 7)])  # derives path (5,7), (6,7)
+        after = session.fetch_encoded("path")
+        assert after is not before
+        assert len(after) == len(before) + 2
+        assert cache_probes(session) == (0, 2)
+        assert session.fetch_encoded("path") is after
 
     def test_unrelated_relations_keep_their_entries(self):
-        # Two independent components: island edges don't invalidate... the
-        # dependency unit is the relation, so mutate an unrelated relation.
         program = build_transitive_closure_program(EDGES)
         program.declare_relation("tag", 1)
         program.add_fact("tag", ("a",))
         session = IncrementalSession(program, EngineConfig.interpreted())
-        session.fetch("path")
-        session.insert_facts("tag", [("b",)])
-        session.fetch("path")
-        assert session.cache.stats.hits == 1  # tag is not a dependency of path
+        before = session.fetch_encoded("path")
+        session.insert_facts("tag", [("b",)])  # tag is not a dependency of path
+        assert session.fetch_encoded("path") is before
+        assert cache_probes(session) == (1, 1)
 
-    def test_sessions_with_different_facts_do_not_collide_in_a_shared_cache(self):
-        # Same rules, different EDB: keys must differ (the generation vectors
-        # coincide, so only the facts-aware fingerprint keeps them apart).
-        shared = ResultCache()
-        a = tc_session([(1, 2)], cache=shared)
-        assert set(a.fetch("path")) == {(1, 2)}
-        b = tc_session([(3, 4)], cache=shared)
-        assert set(b.fetch("path")) == {(3, 4)}
-        assert set(a.fetch("path")) == {(1, 2)}
-
-    def test_replica_sessions_share_cache_entries(self):
-        shared = ResultCache()
-        a = tc_session(cache=shared)
-        b = tc_session(cache=shared)
-        a.fetch("path")
-        b.fetch("path")
-        assert shared.stats.hits == 1
-
-    def test_diverging_update_streams_fork_the_shared_cache(self):
-        # Different mutations advance generation counters identically, so
-        # only the stream digest keeps diverged sessions apart.
-        shared = ResultCache()
-        a = tc_session([(1, 2)], cache=shared)
-        b = tc_session([(1, 2)], cache=shared)
-        a.insert_facts("edge", [(2, 3)])
-        b.insert_facts("edge", [(5, 6)])
-        a.fetch("path")
-        assert set(b.fetch("path")) == {(1, 2), (5, 6)}
-
-    def test_identical_update_streams_keep_sharing(self):
-        shared = ResultCache()
-        a = tc_session(cache=shared)
-        b = tc_session(cache=shared)
-        a.insert_facts("edge", [(4, 5)])
-        b.insert_facts("edge", [(4, 5)])
-        a.fetch("path")
-        b.fetch("path")
-        assert shared.stats.hits == 1
-
-    def test_noop_batches_do_not_invalidate_or_fork(self):
+    def test_noop_batches_keep_the_object(self):
         session = tc_session()
-        session.fetch("path")
+        before = session.fetch_encoded("path")
         session.retract_facts("edge", [(99, 100)])  # never asserted
         session.insert_facts("edge", [(1, 2)])      # already live
-        session.fetch("path")
-        assert session.cache.stats.hits == 1
-        # ...and a replica that applied the same no-ops still shares.
-        shared = ResultCache()
-        a = tc_session(cache=shared)
-        b = tc_session(cache=shared)
-        a.retract_facts("edge", [(99, 100)])
-        a.fetch("path")
-        b.fetch("path")
-        assert shared.stats.hits == 1
+        assert session.fetch_encoded("path") is before
+        assert cache_probes(session) == (1, 1)
 
-    def test_cache_eviction_respects_capacity(self):
-        cache = ResultCache(max_entries=1)
-        session = tc_session(cache=cache)
-        session.fetch("path")
-        session.fetch("edge")
-        assert len(cache) == 1
+    def test_sessions_with_different_facts_read_their_own_rows(self):
+        a = tc_session([(1, 2)])
+        assert set(a.fetch("path")) == {(1, 2)}
+        b = tc_session([(3, 4)])
+        assert set(b.fetch("path")) == {(3, 4)}
+        assert set(a.fetch("path")) == {(1, 2)}
 
 
 class TestFallbackAndFingerprint:
@@ -279,10 +241,7 @@ class TestFallbackAndFingerprint:
         p3 = build_transitive_closure_program(EDGES, ordering="worst")
         assert fingerprint_program(p1) != fingerprint_program(p3)
 
-    def test_fingerprint_ignores_facts_unless_asked(self):
+    def test_fingerprint_ignores_facts(self):
         p1 = build_transitive_closure_program([(1, 2)])
         p2 = build_transitive_closure_program([(3, 4)])
         assert fingerprint_program(p1) == fingerprint_program(p2)
-        assert fingerprint_program(p1, include_facts=True) != fingerprint_program(
-            p2, include_facts=True
-        )

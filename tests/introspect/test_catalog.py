@@ -7,7 +7,7 @@ The differential criteria of the introspection subsystem:
   across pushdown/vectorized executors and shards ∈ {1, 4};
 * a Datalog rule over ``sys_queries`` selects precisely the queries the
   :class:`SlowQueryLog` logged;
-* catalog relations never pollute user result sets, and the result cache
+* catalog relations never pollute user result sets, and a memoised read
   never serves a catalog-dependent answer computed against different
   engine state.
 """
@@ -176,9 +176,8 @@ class TestCatalogHygiene:
             second = set(mconn.query("seen"))
             assert len(second) == len(first) + 1
             assert first < second
-            # A sibling connection sharing the database's ResultCache must
-            # compute against current catalog state, not reuse the entry
-            # cached for the older ring contents.
+            # A sibling connection must compute against current catalog
+            # state, not against the older ring contents.
             with monitor.connect() as mconn2:
                 assert set(mconn2.query("seen")) == second
         wconn.close()
@@ -235,6 +234,10 @@ class TestCatalogContents:
             assert rows["edge"][1] == 2           # arity
             assert rows["edge"][2] == 6           # cardinality
             assert rows["path"][2] == conn.query("path").count()
+            # explain() counts catalog rows the way query() serves them.
+            for relation in ("path", "sys_relations"):
+                count = conn.query(relation).count()
+                assert f"({count} rows)" in conn.explain(relation)
 
     def test_sys_symbols_tracks_interning(self):
         with Database(
@@ -300,6 +303,11 @@ class TestReservedNamespace:
         with Database(tc_program(4)) as db, db.connect() as conn:
             with pytest.raises(KeyError, match="unknown system relation"):
                 conn.query("sys_not_a_table")
+
+    def test_explain_of_unknown_sys_relation_raises(self):
+        with Database(tc_program(4)) as db, db.connect() as conn:
+            with pytest.raises(KeyError, match="unknown system relation"):
+                conn.explain("sys_not_a_table")
 
     def test_every_catalog_relation_has_a_consistent_schema(self):
         assert catalog_relation_names() == tuple(sorted(CATALOG_COLUMNS))

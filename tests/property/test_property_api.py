@@ -1,14 +1,13 @@
-"""Acceptance property: the Database API equals the legacy API, every mode.
+"""Acceptance property: the Database API equals a bare session, every mode.
 
-For randomized fact bases and insert batches, one round trip through the new
+For randomized fact bases and insert batches, one round trip through the
 surface — ``Database(...).connect()`` → ``insert_facts`` → ``query("path")``
 — must return a :class:`QueryResult` whose ``rows()`` / ``count()`` /
-``explain()`` agree bit-for-bit with the legacy ``Program.solve`` /
-``IncrementalSession`` results, for interpreted, JIT, AOT and
-``parallel(shards ∈ {1, 2, 4})`` configurations alike.
+``explain()`` agree bit-for-bit with a hand-driven ``IncrementalSession``
+and with a from-scratch evaluation of the DSL program over the final fact
+base, for interpreted, JIT, AOT and ``parallel(shards ∈ {1, 2, 4})``
+configurations alike.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -63,26 +62,24 @@ def test_database_roundtrip_matches_legacy_api(config, edges, batch):
             conn.insert_facts("edge", batch)
         result = conn.query("path")
 
-    # -- legacy path 1: an IncrementalSession driven by hand -------------------
+    # -- path 1: an IncrementalSession driven by hand ---------------------------
     with IncrementalSession(build_transitive_closure_program(edges), config) as session:
         if batch:
             session.insert_facts("edge", batch)
         legacy_session_rows = session.fetch("path")
 
-    # -- legacy path 2: Program.solve over the full fact base ------------------
+    # -- path 2: from-scratch evaluation of the DSL program over the final facts
     final_edges = sorted(set(edges) | set(batch))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_solve_rows = build_tc_dsl(final_edges).solve("path", config)
+    scratch_rows = build_tc_dsl(final_edges).database(config).query("path").to_set()
 
     # bit-for-bit agreement across all three paths
-    assert result.to_set() == set(legacy_session_rows) == legacy_solve_rows
+    assert result.to_set() == set(legacy_session_rows) == scratch_rows
 
     # QueryResult invariants: count/rows/take agree with the row set and with
     # the canonical deterministic order.
-    assert result.count() == len(legacy_solve_rows)
+    assert result.count() == len(scratch_rows)
     ordered = list(result.rows())
-    assert ordered == sorted(legacy_solve_rows)
+    assert ordered == sorted(scratch_rows)
     assert list(result) == ordered
     assert result.take(3) == ordered[:3]
 

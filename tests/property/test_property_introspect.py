@@ -5,11 +5,11 @@ Two invariants, each over random edge sets:
 * **No pollution** — however the workload is shaped, ``sys_`` relations
   never appear in user result sets, in ``conn.query()``'s relation map,
   or in the ``sys_relations`` listing itself.
-* **Cache divergence** — result-cache validity tokens for a catalog
-  reader change exactly when catalog state changes: a new trace in the
-  shared ring flips the ``sys_queries`` mutation digest (so a cached
-  answer computed against the older ring can never be served), while a
-  read that leaves the ring untouched keeps the digest stable.
+* **Cache divergence** — the validity token of a catalog reader's
+  memoised results changes exactly when catalog state changes: a new trace
+  in the shared ring advances the ``sys_queries`` storage generation (so a
+  frozen answer computed against the older ring can never be served),
+  while a read that leaves the ring untouched keeps the generation stable.
 """
 
 from hypothesis import given, settings
@@ -82,17 +82,17 @@ def test_cache_tokens_diverge_exactly_when_catalog_state_differs(edges):
     )
     with monitor.connect() as mconn:
         first = set(mconn.query("seen"))
-        before = mconn.session._mutation_digests["sys_queries"]
+        before = mconn.session.storage.generation("sys_queries")
 
         # Re-reading without touching the ring keeps the token stable …
         assert set(mconn.query("seen")) == first
-        assert mconn.session._mutation_digests["sys_queries"] == before
+        assert mconn.session.storage.generation("sys_queries") == before
 
         # … while one more workload trace must flip it, and the fresh
         # answer must include exactly the new trace.
         wconn.query("path")
         second = set(mconn.query("seen"))
-        after = mconn.session._mutation_digests["sys_queries"]
+        after = mconn.session.storage.generation("sys_queries")
         assert after != before
         assert len(second) == len(first) + 1
         assert first < second

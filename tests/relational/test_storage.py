@@ -5,6 +5,7 @@ import pytest
 from repro.datalog.literals import Atom
 from repro.datalog.program import DatalogProgram
 from repro.datalog.terms import Variable
+from repro.relational.relation import Relation
 from repro.relational.storage import DatabaseKind, StorageManager
 
 x, y = Variable("x"), Variable("y")
@@ -181,3 +182,115 @@ class TestTrustedBatchSinks:
         assert storage.mutation_version() == version
         storage.swap_and_clear(["edge"])
         assert storage.mutation_version() > version
+
+
+def _adopt(storage):
+    replacement = Relation("path", 2)
+    replacement.insert((9, 9))
+    storage.adopt_derived("path", replacement)
+
+
+def _load_more_facts(storage):
+    program = DatalogProgram()
+    program.add_facts("path", [(3, 4)])
+    storage.load_program(program)
+
+
+def _promote(storage):
+    storage.insert_new_batch("path", {(3, 4)})
+    storage.swap_and_clear(["path"])
+
+
+SEEDED = {(1, 2), (2, 3)}
+GROWN = SEEDED | {(3, 4)}
+
+#: Every primitive that changes the Derived copy of ``path``, and the rows
+#: it leaves there.
+CHANGING_MUTATIONS = [
+    pytest.param(lambda s: s.insert_derived("path", (3, 4)), GROWN,
+                 id="insert_derived"),
+    pytest.param(lambda s: s.insert_base("path", (3, 4)), GROWN,
+                 id="insert_base"),
+    pytest.param(lambda s: s.seed_delta("path", [(3, 4)]), GROWN,
+                 id="seed_delta"),
+    pytest.param(lambda s: s.seed_delta_batch("path", {(3, 4)}), GROWN,
+                 id="seed_delta_batch"),
+    pytest.param(lambda s: s.absorb_rows("path", [(3, 4)]), GROWN,
+                 id="absorb_rows"),
+    pytest.param(_promote, GROWN, id="swap_and_clear"),
+    pytest.param(lambda s: s.retract_rows("path", [(1, 2)]), {(2, 3)},
+                 id="retract_rows"),
+    pytest.param(lambda s: s.reset_idb(["path"]), set(), id="reset_idb"),
+    pytest.param(lambda s: s.restore_state("path", {(7, 8)}, set()),
+                 {(7, 8)}, id="restore_state"),
+    pytest.param(_adopt, {(9, 9)}, id="adopt_derived"),
+    pytest.param(_load_more_facts, GROWN, id="load_program"),
+]
+
+#: Primitives that leave the Derived copy of ``path`` as it was: deltas
+#: only, rows already present or absent, or another relation.
+KEEPING_MUTATIONS = [
+    pytest.param(lambda s: s.insert_new_batch("path", {(3, 4)}),
+                 id="insert_new_batch"),
+    pytest.param(lambda s: s.insert_new_many("path", [(3, 4)]),
+                 id="insert_new_many"),
+    pytest.param(lambda s: s.insert_new("path", (3, 4)), id="insert_new"),
+    pytest.param(lambda s: s.force_delta("path", [(5, 6)]), id="force_delta"),
+    pytest.param(lambda s: s.clear_deltas(["path"]), id="clear_deltas"),
+    pytest.param(lambda s: s.swap_and_clear(["path"]),
+                 id="swap_and_clear_empty_delta"),
+    pytest.param(lambda s: s.insert_derived("path", (1, 2)),
+                 id="insert_derived_present_row"),
+    pytest.param(lambda s: s.seed_delta("path", [(1, 2)]),
+                 id="seed_delta_present_row"),
+    pytest.param(lambda s: s.absorb_rows("path", [(2, 3)]),
+                 id="absorb_rows_present_row"),
+    pytest.param(lambda s: s.retract_rows("path", [(8, 8)]),
+                 id="retract_rows_absent_row"),
+    pytest.param(lambda s: s.absorb_rows("edge", [(3, 4)]),
+                 id="other_relation_absorb_rows"),
+    pytest.param(lambda s: s.reset_idb(["edge"]),
+                 id="other_relation_reset_idb"),
+]
+
+
+class TestFrozenRows:
+    """frozen_rows is memoised per generation: the generation counter is
+    the only validity token of embedded reads and MVCC snapshots, so every
+    write to Derived must bump it and nothing else may."""
+
+    def _frozen(self):
+        storage = make_storage()
+        storage.seed_delta("path", SEEDED)
+        return storage, storage.frozen_rows("path")
+
+    def test_repeat_freeze_returns_the_memoised_object(self):
+        storage = make_storage()
+        assert not storage.frozen_is_current("path")
+        storage.seed_delta("path", SEEDED)
+        first = storage.frozen_rows("path")
+        assert first == frozenset(SEEDED)
+        assert storage.frozen_is_current("path")
+        assert storage.frozen_rows("path") is first
+
+    @pytest.mark.parametrize("mutate,expected", CHANGING_MUTATIONS)
+    def test_derived_writes_give_a_new_object(self, mutate, expected):
+        storage, before = self._frozen()
+        generation = storage.generation("path")
+        mutate(storage)
+        assert storage.generation("path") > generation
+        assert not storage.frozen_is_current("path")
+        after = storage.frozen_rows("path")
+        assert after is not before
+        assert after == frozenset(expected) == frozenset(storage.derived("path"))
+        # A reader holding the old object keeps the old rows.
+        assert before == frozenset(SEEDED)
+        assert storage.frozen_rows("path") is after
+
+    @pytest.mark.parametrize("mutate", KEEPING_MUTATIONS)
+    def test_writes_that_leave_derived_alone_keep_the_object(self, mutate):
+        storage, before = self._frozen()
+        mutate(storage)
+        assert storage.frozen_is_current("path")
+        assert storage.frozen_rows("path") is before
+        assert before == frozenset(storage.derived("path"))

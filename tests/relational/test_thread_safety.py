@@ -1,15 +1,14 @@
-"""Concurrency stress tests for storage counters and the result cache.
+"""Concurrency stress tests for storage counters.
 
 The serving layer reads storage counters (``generations``/
-``mutation_version``) and probes the shared :class:`ResultCache` from
-reader threads while a single writer mutates — these tests hammer exactly
-those paths.  Row mutation itself stays single-writer by design; what must
-be thread-safe is the counter bookkeeping and the cache's dict surgery.
+``mutation_version``) from reader threads while a single writer mutates —
+these tests hammer exactly those paths.  Row mutation itself stays
+single-writer by design; what must be thread-safe is the counter
+bookkeeping.
 """
 
 import threading
 
-from repro.incremental import ResultCache
 from repro.relational.storage import StorageManager
 
 WRITER_BATCHES = 400
@@ -105,71 +104,3 @@ class TestStorageCounters:
         for thread in threads:
             thread.join()
         assert not regressions
-
-
-class TestResultCacheConcurrency:
-    def test_concurrent_store_lookup_accounting_stays_consistent(self):
-        cache = ResultCache(max_entries=8)  # small: force eviction races
-        generations = {"edge": 1}
-        lookups_per_thread = READER_ITERATIONS
-        errors = []
-
-        def worker(thread_id):
-            try:
-                for i in range(lookups_per_thread):
-                    key = ("prog", "config", f"rel{i % 12}")
-                    rows = cache.lookup(key, generations)
-                    if rows is None:
-                        cache.store(
-                            key, generations, frozenset({(thread_id, i)})
-                        )
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(t,)) for t in range(THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors
-        stats = cache.stats
-        assert stats.hits + stats.misses == THREADS * lookups_per_thread
-        assert len(cache) <= 8
-
-    def test_concurrent_invalidation_and_lookup(self):
-        cache = ResultCache(max_entries=64)
-        stop = threading.Event()
-        errors = []
-
-        def churner():
-            version = 0
-            try:
-                while not stop.is_set():
-                    version += 1
-                    cache.store(
-                        ("p", "c", "path"), {"edge": version}, frozenset()
-                    )
-                    cache.invalidate_relation("path")
-            except Exception as exc:
-                errors.append(exc)
-
-        def prober():
-            try:
-                for version in range(READER_ITERATIONS):
-                    cache.lookup(("p", "c", "path"), {"edge": version})
-            except Exception as exc:
-                errors.append(exc)
-            finally:
-                stop.set()
-
-        threads = [
-            threading.Thread(target=churner),
-            threading.Thread(target=prober),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors

@@ -150,6 +150,22 @@ class TestResourceCaps:
         finally:
             database.close()
 
+    def test_config_level_limits_never_govern_sharded_mutations(self):
+        # The shard-parallel evaluator seeds every stratum through a nested
+        # serial executor, which must run under the mutation's no-op
+        # governor: an impossible config deadline may fail reads, never
+        # writes.
+        config = EngineConfig.parallel(shards=2, pool="serial").with_(
+            limits=QueryLimits(deadline_seconds=1e-9)
+        )
+        database = Database(build_transitive_closure_program([(1, 2)]), config)
+        try:
+            with database.connect() as conn:
+                conn.insert_facts("edge", [(2, 3), (3, 4)])
+                assert set(conn.query("path").rows()) == FAST_CLOSURE
+        finally:
+            database.close()
+
     def test_per_query_limits_override_config_limits(self):
         config = EngineConfig().with_(limits=QueryLimits(max_rounds=1))
         database = Database(build_transitive_closure_program(FAST_EDGES), config)

@@ -77,10 +77,3 @@ class TestEngineConfigWiring:
         assert config.tracer() is telemetry.tracer
         # ``with_`` on other fields must carry the telemetry through.
         assert config.with_(executor="vectorized").tracer() is telemetry.tracer
-
-    def test_telemetry_is_excluded_from_session_cache_keys(self):
-        from repro.incremental.session import _config_cache_key
-
-        bare = EngineConfig.interpreted()
-        traced = bare.with_(telemetry=tracing(ring=4))
-        assert _config_cache_key(traced) == _config_cache_key(bare)
